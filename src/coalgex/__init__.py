@@ -13,7 +13,6 @@ from .lattice import (
     Violation,
     bool2,
     builtin_lattices,
-    join_eval,
     make_lattice,
     powerset,
     unit,
@@ -59,7 +58,7 @@ from .expr import (
     substitute,
     term_key,
 )
-from .typecheck import Judgment, TypecheckError, closure_cl, typecheck, typechecks
+from .typecheck import TypecheckError, closure_cl, typecheck, typechecks
 from .fvalue import (
     FBot,
     FCarrier,

@@ -22,8 +22,9 @@ from .equivalence import bisimilar, canonical_form, equiv, minimize
 from .expr import ExprSyntaxError, order_context_for, pretty
 from .extraction import extract
 from .functor import FunctorSyntaxError, pretty_functor
-from .fvalue import ShapeError, encode_value
+from .fvalue import ShapeError, encode_value, fmap
 from .instances import (
+    PresetError,
     core_to_lts,
     det_to_regex,
     gs_to_core,
@@ -36,6 +37,9 @@ from .instances import (
     regex_to_det,
     det_accepts,
 )
+from .instances.guarded import GsSyntaxError
+from .instances.lts import LtsSyntaxError
+from .instances.regex import RegexSyntaxError
 from .derivative import delta
 from .lattice import LatticeError
 from .synthesis import acie_normal_form, synthesize
@@ -49,7 +53,10 @@ USAGE_ERRORS = (
     LatticeError,
     CoalgebraError,
     ShapeError,
-    ValueError,
+    PresetError,
+    RegexSyntaxError,
+    LtsSyntaxError,
+    GsSyntaxError,
     OSError,
 )
 
@@ -81,38 +88,8 @@ def _cmd_check(args, spec) -> int:
 def _cmd_delta(args, spec) -> int:
     e = spec.resolve_expr(args.expr)
     value = delta(spec.functor, spec.functor, e)
-    printable = _carriers_to_text(value)
-    if args.format == "json":
-        print(json.dumps(encode_value(printable)))
-    else:
-        print(json.dumps(encode_value(printable)))
+    print(json.dumps(encode_value(fmap(spec.functor, pretty, value))))
     return 0
-
-
-def _carriers_to_text(value):
-    from .fvalue import fmap
-
-    return fmap_expr_carriers(value)
-
-
-def fmap_expr_carriers(value):
-    from .fvalue import FCarrier, FFun, FInl, FInr, FPair, FSet
-
-    match value:
-        case FCarrier(item):
-            return FCarrier(item if isinstance(item, str) else pretty(item))
-        case FPair(l, r):
-            return FPair(fmap_expr_carriers(l), fmap_expr_carriers(r))
-        case FInl(i):
-            return FInl(fmap_expr_carriers(i))
-        case FInr(i):
-            return FInr(fmap_expr_carriers(i))
-        case FFun(entries):
-            return FFun(tuple((a, fmap_expr_carriers(v)) for a, v in entries))
-        case FSet(members):
-            return FSet(tuple(fmap_expr_carriers(m) for m in members))
-        case _:
-            return value
 
 
 def _cmd_synthesize(args, spec) -> int:
@@ -211,6 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     def with_spec(p):
         p.add_argument("--spec", required=True, help="spec document path")
         return p
@@ -219,43 +201,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         return p
 
-    p = with_spec(sub.add_parser("check", help="type check an expression"))
+    p = with_spec(command("check", _cmd_check, "type check an expression"))
     p.add_argument("--expr", required=True)
 
-    p = with_format(with_spec(sub.add_parser("delta", help="one derivative step")))
+    p = with_format(with_spec(command("delta", _cmd_delta, "one derivative step")))
     p.add_argument("--expr", required=True)
 
-    p = with_format(with_spec(sub.add_parser("synthesize", help="expression to machine")))
+    p = with_format(with_spec(command("synthesize", _cmd_synthesize, "expression to machine")))
     p.add_argument("--expr", required=True)
 
-    p = with_spec(sub.add_parser("equiv", help="decide expression equivalence"))
+    p = with_spec(command("equiv", _cmd_equiv, "decide expression equivalence"))
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
 
-    p = with_spec(sub.add_parser("normalize", help="canonical sum normal form"))
+    p = with_spec(command("normalize", _cmd_normalize, "canonical sum normal form"))
     p.add_argument("--expr", required=True)
 
-    p = with_spec(sub.add_parser("canon", help="canonical class representative"))
+    p = with_spec(command("canon", _cmd_canon, "canonical class representative"))
     p.add_argument("--expr", required=True)
 
-    p = with_spec(sub.add_parser("accepts", help="word acceptance (acceptor types)"))
+    p = with_spec(command("accepts", _cmd_accepts, "word acceptance (acceptor types)"))
     p.add_argument("--expr", required=True)
     p.add_argument("--word", required=True, default="")
 
-    p = sub.add_parser("extract", help="expression from a machine state")
+    p = command("extract", _cmd_extract, "expression from a machine state")
     p.add_argument("--coalgebra", required=True, help="machine document (JSON)")
     p.add_argument("--state")
 
-    p = with_format(sub.add_parser("minimize", help="quotient by bisimilarity"))
+    p = with_format(command("minimize", _cmd_minimize, "quotient by bisimilarity"))
     p.add_argument("--coalgebra", required=True)
 
-    p = sub.add_parser("bisim", help="bisimilarity of two machine states")
+    p = command("bisim", _cmd_bisim, "bisimilarity of two machine states")
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", required=True)
     p.add_argument("--s1")
     p.add_argument("--s2")
 
-    p = with_spec(sub.add_parser("translate", help="surface-syntax translations"))
+    p = with_spec(command("translate", _cmd_translate, "surface-syntax translations"))
     p.add_argument(
         "--mode",
         required=True,
@@ -267,36 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args, load_spec(args.spec))
-        if args.command == "delta":
-            return _cmd_delta(args, load_spec(args.spec))
-        if args.command == "synthesize":
-            return _cmd_synthesize(args, load_spec(args.spec))
-        if args.command == "equiv":
-            return _cmd_equiv(args, load_spec(args.spec))
-        if args.command == "normalize":
-            return _cmd_normalize(args, load_spec(args.spec))
-        if args.command == "canon":
-            return _cmd_canon(args, load_spec(args.spec))
-        if args.command == "accepts":
-            return _cmd_accepts(args, load_spec(args.spec))
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "minimize":
-            return _cmd_minimize(args)
-        if args.command == "bisim":
-            return _cmd_bisim(args)
-        if args.command == "translate":
-            return _cmd_translate(args, load_spec(args.spec))
-        parser.error(f"unknown command {args.command!r}")
+        if "spec" in vars(args):
+            return args.func(args, load_spec(args.spec))
+        return args.func(args)
     except USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

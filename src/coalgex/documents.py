@@ -1,7 +1,9 @@
 """File formats: the spec document (lattices + type + named expressions) and
 the machine document (JSON).
 
-Spec document, line oriented, `#` comments:
+Spec document, line oriented.  A `#` at the start of a line or after
+whitespace starts a comment that runs to the end of the line; any other `#`
+is text, as in the lattice literals `l<#1>` and `l[#*]`:
 
     lattice four {
       elements: 0, p, q, p_q
@@ -53,6 +55,7 @@ class SpecDocument:
 
 _LAT_HEAD = re.compile(r"lattice\s+([a-zA-Z][a-zA-Z0-9_]*)\s*\{\s*$")
 _SET = re.compile(r"\{([^}]*)\}")
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _split_names(text: str) -> list[str]:
@@ -68,7 +71,7 @@ def parse_spec(text: str) -> SpecDocument:
     i = 0
 
     def strip_comment(line: str) -> str:
-        return line.split("#", 1)[0].rstrip()
+        return _COMMENT.split(line, 1)[0].rstrip()
 
     while i < len(lines):
         line = strip_comment(lines[i]).strip()
@@ -175,7 +178,11 @@ def _parse_preset_line(
 
 def load_spec(path: str) -> SpecDocument:
     with open(path, encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise SpecError(f"{path}: {err}") from None
+    return parse_spec(text)
 
 
 # --- machine documents -------------------------------------------------------
@@ -209,6 +216,8 @@ def coalgebra_to_doc(c: Coalgebra) -> dict[str, Any]:
 
 
 def coalgebra_from_doc(doc: dict[str, Any]) -> Coalgebra:
+    if not isinstance(doc, dict):
+        raise CoalgebraError("document: expected a JSON object")
     for key in ("functor", "states", "transition"):
         if key not in doc:
             raise CoalgebraError(f"document missing field {key!r}")
@@ -245,7 +254,11 @@ def coalgebra_from_doc(doc: dict[str, Any]) -> Coalgebra:
 
 def read_coalgebra(path: str) -> Coalgebra:
     with open(path, encoding="utf-8") as handle:
-        return coalgebra_from_doc(json.load(handle))
+        try:
+            doc = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise CoalgebraError(f"{path}: {err}") from None
+    return coalgebra_from_doc(doc)
 
 
 def write_coalgebra(c: Coalgebra) -> str:

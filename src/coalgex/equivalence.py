@@ -1,18 +1,18 @@
 """Bisimilarity checking, minimization, and the expression decision procedure.
 
-Bisimilarity of two machine states is decided by greatest-fixpoint refinement
-of the all-pairs relation under the relation lifting; the axiomatization of
-expression equivalence is sound and complete for bisimilarity, so deciding
-bisimilarity of synthesized machines decides provable equivalence.
-
-Refinement is the naive iterated kind (all pairs per round); machines here
-stay small enough that the simplicity is worth more than a partition index.
+One partition-refinement engine numbers the bisimilarity classes of a
+machine's states (signature refinement over blocks, generic in the functor);
+`bisimilar`, `minimize`, `canonical_order` and `greatest_bisimulation` all
+read their results from it.  The axiomatization of expression equivalence is
+sound and complete for bisimilarity, so deciding bisimilarity of synthesized
+machines decides provable equivalence.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .coalgebra import Coalgebra, CoalgebraError, reachable, renamed
+from .coalgebra import Coalgebra, CoalgebraError, renamed
 from .expr import Expr
 from .extraction import extract
 from .functor import (
@@ -26,7 +26,6 @@ from .functor import (
     pretty_functor,
 )
 from .fvalue import (
-    FBot,
     FCarrier,
     FConst,
     FFun,
@@ -34,10 +33,10 @@ from .fvalue import (
     FInr,
     FPair,
     FSet,
-    FTop,
     FValue,
     fmap,
     lifted_related,
+    value_key,
 )
 from .synthesis import acie_normal_form, synthesize
 
@@ -80,22 +79,38 @@ def _disjoint_union(c1: Coalgebra, c2: Coalgebra) -> tuple[Coalgebra, dict, dict
     return union, m1, m2
 
 
+def _blocks(c: Coalgebra) -> dict[str, int]:
+    """Number of each state's bisimilarity class (partition refinement).
+
+    A state's signature is its value with every successor replaced by that
+    successor's block; each round numbers the (old block, signature) classes
+    in sorted order, starting from one block.  Refinement stops when the
+    number of blocks stops growing, so the numbers depend only on the
+    machine's structure, not on state names or declared order.
+    """
+    block = dict.fromkeys(c.states, 0)
+    count = 1
+    while True:
+        # block ids enter as strings, which value_key orders without the term order
+        keys = {
+            s: (block[s], value_key(fmap(c.functor, lambda t: str(block[t]), c.value(s))))
+            for s in c.states
+        }
+        number = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+        block = {s: number[keys[s]] for s in c.states}
+        if len(number) <= count:
+            return block
+        count = len(number)
+
+
 def greatest_bisimulation(c: Coalgebra) -> set[tuple[str, str]]:
     """Largest relation on the state set closed under the relation lifting."""
-    rel = {(s, t) for s in c.states for t in c.states}
-    while True:
-        keep = {
-            (s, t)
-            for (s, t) in rel
-            if lifted_related(c.functor, rel, c.value(s), c.value(t))
-        }
-        if keep == rel:
-            return rel
-        rel = keep
+    block = _blocks(c)
+    return {(s, t) for s in c.states for t in c.states if block[s] == block[t]}
 
 
 def _explain(
-    c: Coalgebra, s: str, t: str, rel: set[tuple[str, str]]
+    c: Coalgebra, s: str, t: str, related: Callable[[str, str], bool]
 ) -> tuple[tuple[str, ...], str]:
     """Path to the first mismatch for a pair outside the greatest bisimulation."""
     visited: set[tuple[str, str]] = set()
@@ -104,7 +119,7 @@ def _explain(
     def descend(f: FunctorExpr, u: FValue, v: FValue) -> str:
         match f, u, v:
             case Id(), FCarrier(a), FCarrier(b):
-                if (a, b) in rel:
+                if related(a, b):
                     return ""
                 if (a, b) in visited:
                     return f"states {a!r}, {b!r} already under inspection"
@@ -155,13 +170,13 @@ def _explain(
                 return ""
             case FinPowerset(base), FSet(m1), FSet(m2):
                 for i, a in enumerate(m1):
-                    if not any(lifted_related(base, rel, a, b) for b in m2):
+                    if not any(lifted_related(base, related, a, b) for b in m2):
                         trace.append(f"set-member#{i} (left)")
                         if m2:
                             return descend(base, a, m2[0]) or "unmatched set member"
                         return "unmatched set member (other side empty)"
                 for i, b in enumerate(m2):
-                    if not any(lifted_related(base, rel, a, b) for a in m1):
+                    if not any(lifted_related(base, related, a, b) for a in m1):
                         trace.append(f"set-member#{i} (right)")
                         if m1:
                             return descend(base, m1[0], b) or "unmatched set member"
@@ -185,42 +200,33 @@ def bisimilar(c1: Coalgebra, s1: str, c2: Coalgebra, s2: str) -> Certificate:
     if s2 not in c2.transition:
         raise CoalgebraError(f"unknown state {s2!r}")
     union, m1, m2 = _disjoint_union(c1, c2)
-    rel = greatest_bisimulation(union)
+    block = _blocks(union)
     a, b = m1[s1], m2[s2]
-    if (a, b) in rel:
+    if block[a] == block[b]:
         witness = tuple(
-            sorted(
-                (p.removeprefix("L."), q.removeprefix("R."))
-                for (p, q) in rel
-                if p.startswith("L.") and q.startswith("R.")
-            )
+            sorted((p, q) for p in c1.states for q in c2.states if block[m1[p]] == block[m2[q]])
         )
         return Certificate(True, witness=witness)
-    trace, reason = _explain(union, a, b, rel)
+    trace, reason = _explain(union, a, b, lambda p, q: block[p] == block[q])
     return Certificate(False, trace=trace, reason=reason)
 
 
 def minimize(c: Coalgebra) -> Coalgebra:
-    """Quotient by the bisimilarity partition (representatives keep their names)."""
-    rel = greatest_bisimulation(c)
-    repr_of: dict[str, str] = {}
-    reps: list[str] = []
+    """Quotient by the bisimilarity partition; the first declared state of each
+    class represents it and keeps its name."""
+    block = _blocks(c)
+    first: dict[int, str] = {}
     for s in c.states:
-        for r in reps:
-            if (r, s) in rel:
-                repr_of[s] = r
-                break
-        else:
-            reps.append(s)
-            repr_of[s] = s
+        first.setdefault(block[s], s)
+    reps = tuple(first.values())
     transition = {
-        r: fmap(c.functor, lambda t: repr_of[t], c.transition[r]) for r in reps
+        r: fmap(c.functor, lambda t: first[block[t]], c.transition[r]) for r in reps
     }
     return Coalgebra(
         functor=c.functor,
-        states=tuple(reps),
+        states=reps,
         transition=transition,
-        point=repr_of[c.point] if c.point is not None else None,
+        point=first[block[c.point]] if c.point is not None else None,
         labels={r: c.labels[r] for r in reps if r in c.labels},
     )
 
@@ -236,53 +242,19 @@ def equiv(g: FunctorExpr, e1: Expr, e2: Expr) -> Certificate:
     return bisimilar(m1, m1.point, m2, m2.point)
 
 
-def _signature(f: FunctorExpr, v: FValue, rank: dict[str, int]) -> object:
-    match f, v:
-        case Id(), FCarrier(s):
-            return ("c", rank[s])
-        case Const(_), FConst(lat, el):
-            return ("k", lat, el)
-        case Product(f1, f2), FPair(l, r):
-            return ("p", _signature(f1, l, rank), _signature(f2, r, rank))
-        case BiasedSum(f1, _), FInl(i):
-            return ("il", _signature(f1, i, rank))
-        case BiasedSum(_, f2), FInr(i):
-            return ("ir", _signature(f2, i, rank))
-        case BiasedSum(_, _), FBot():
-            return ("bot",)
-        case BiasedSum(_, _), FTop():
-            return ("top",)
-        case Exponent(base, alphabet), FFun(_):
-            return ("f", tuple((a, _signature(base, v(a), rank)) for a in alphabet))
-        case FinPowerset(base), FSet(members):
-            sigs = sorted(repr(_signature(base, m, rank)) for m in members)
-            return ("s", tuple(sigs))
-    raise CoalgebraError(f"value {v!r} does not match the machine type")
-
-
 def canonical_order(c: Coalgebra) -> Coalgebra:
     """Relabel states s1..sn in an order depending only on machine structure.
 
-    Iterated signature refinement assigns isomorphism-invariant ranks; on a
-    minimal machine the ranks become total, so isomorphic machines relabel to
-    the identical machine.  Set values are re-sorted into the new naming.
+    States are ordered by their bisimilarity class number, which is
+    isomorphism-invariant; on a minimal machine every class is one state, so
+    isomorphic machines relabel to the identical machine.  Ties keep the
+    incoming order.  Set values are re-sorted into the new naming.
     """
-    rank = {s: 0 for s in c.states}
-    for _ in range(len(c.states) + 1):
-        keyed = {
-            s: (rank[s], repr(_signature(c.functor, c.value(s), rank)))
-            for s in c.states
-        }
-        ordered = sorted(set(keyed.values()))
-        new_rank = {s: ordered.index(keyed[s]) for s in c.states}
-        if new_rank == rank:
-            break
-        rank = new_rank
-    # stable tie-break on the incoming order keeps the result deterministic
-    by_rank = sorted(c.states, key=lambda s: (rank[s], c.states.index(s)))
-    mapping = {s: f"s{i + 1}" for i, s in enumerate(by_rank)}
+    block = _blocks(c)
+    by_block = sorted(c.states, key=block.__getitem__)
+    mapping = {s: f"s{i + 1}" for i, s in enumerate(by_block)}
     out = renamed(c, mapping)
-    out.states = tuple(sorted(out.states, key=lambda s: int(s[1:])))
+    out.states = tuple(mapping[s] for s in by_block)
     return out
 
 

@@ -82,9 +82,6 @@ class Single:
 
 Expr = Union[Empty, Var, Plus, Mu, LatElem, ProdL, ProdR, SumL, SumR, Act, Single]
 
-# Constructors that guard a variable occurrence against its binder.
-GUARDING = (ProdL, ProdR, SumL, SumR, Act, Single)
-
 KEYWORDS = frozenset({"empty", "mu"})
 
 

@@ -30,8 +30,7 @@ from ..expr import (
     replace_subterm,
     subterms,
 )
-from ..functor import FunctorExpr, Product
-from ..fvalue import FConst, FFun, FPair
+from ..functor import Const, Exponent, FunctorExpr, Id, Product, pretty_functor
 from ..derivative import delta
 from ..typecheck import TypecheckError
 
@@ -440,20 +439,21 @@ def det_accepts(e: Expr, word: str, d: FunctorExpr | None = None) -> bool:
     """Acceptance of a word by an acceptor expression, one derivative per letter.
 
     The ambient type defaults to 2 x Id^A with the word's letters joined with
-    {a, b}; pass the type explicitly to control the alphabet.
+    {a, b}; pass the type explicitly to control the alphabet.  Raises
+    TypecheckError for any other type and for letters outside the alphabet.
     """
     if d is None:
         from .presets import preset
 
         letters = sorted(set(word) | {"a", "b"})
         d, _ = preset("dfa", letters)
-    if not isinstance(d, Product):
-        raise TypecheckError("acceptor type expected (product at the top)")
+    match d:
+        case Product(Const(lat), Exponent(Id(), alphabet)) if lat.name == "bool2":
+            pass
+        case _:
+            raise TypecheckError(f"acceptor type 2 x Id^A expected, got {pretty_functor(d)}")
     for a in word:
-        v = delta(d, d, e)
-        assert isinstance(v, FPair) and isinstance(v.right, FFun)
-        carrier = v.right(a)
-        e = carrier.item  # type: ignore[union-attr]
-    v = delta(d, d, e)
-    assert isinstance(v, FPair) and isinstance(v.left, FConst)
-    return v.left.element == "1"
+        if a not in alphabet:
+            raise TypecheckError(f"letter {a!r} is not in the alphabet {{{', '.join(alphabet)}}}")
+        e = delta(d, d, e).right(a).item
+    return delta(d, d, e).left.element == "1"

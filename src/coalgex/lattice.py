@@ -46,14 +46,6 @@ class JoinSemilattice:
     def leq(self, b1: str, b2: str) -> bool:
         return self.join(b1, b2) == b2
 
-    def elem_rank(self, b: str) -> int:
-        return self.index(b)
-
-
-def join_eval(lat: JoinSemilattice, b1: str, b2: str) -> str:
-    """Join of two elements; raises LatticeError on unknown identifiers."""
-    return lat.join(b1, b2)
-
 
 def validate_lattice(lat: JoinSemilattice) -> Violation | None:
     """Check all semilattice laws; None means ok.

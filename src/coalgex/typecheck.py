@@ -9,8 +9,6 @@ empty, variables, sums and fixed points type.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import (
     Act,
     Empty,
@@ -48,13 +46,6 @@ class TypecheckError(ValueError):
             message = f"{message} in {pretty(subterm)!r}"
         super().__init__(message)
         self.subterm = subterm
-
-
-@dataclass(frozen=True)
-class Judgment:
-    expr: Expr
-    ing: FunctorExpr
-    ambient: FunctorExpr
 
 
 def typecheck(e: Expr, f: FunctorExpr, g: FunctorExpr) -> None:
@@ -156,12 +147,10 @@ def _derive(e: Expr, f: FunctorExpr, g: FunctorExpr) -> None:
     raise TypecheckError(f"ill-typed at ingredient {pretty_functor(f)}", e)
 
 
-def closure_cl(e: Expr, g: FunctorExpr | None = None) -> frozenset[Expr]:
+def closure_cl(e: Expr) -> frozenset[Expr]:
     """Least set containing e, closed under subformulas and fixed-point unfolding.
 
     Finite for well-typed guarded expressions; memoized on syntactic identity.
-    The ambient type is not consulted; it is accepted for signature parity
-    with callers that track it.
     """
     seen: set[Expr] = set()
     stack = [e]

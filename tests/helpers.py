@@ -1,6 +1,7 @@
 """Shared test machinery: seeded random generators and independent oracles."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -347,10 +348,13 @@ def enumerate_values(f: FunctorExpr, carrier: list) -> list[FValue]:
 def brute_lifted(f: FunctorExpr, rel_pairs: set[tuple], u: FValue, v: FValue) -> bool:
     """Membership in the relation lifting computed by definition: enumerate
     values over the relation-as-carrier and project both ways."""
+    return (u, v) in _projections(f, frozenset(rel_pairs))
+
+
+@functools.lru_cache(maxsize=8)
+def _projections(f: FunctorExpr, rel_pairs: frozenset) -> frozenset:
     pairs = sorted(rel_pairs, key=repr)
-    projected = set()
-    for x in enumerate_values(f, pairs):
-        projected.add(
-            (fmap(f, lambda p: p[0], x), fmap(f, lambda p: p[1], x))
-        )
-    return (u, v) in projected
+    return frozenset(
+        (fmap(f, lambda p: p[0], x), fmap(f, lambda p: p[1], x))
+        for x in enumerate_values(f, pairs)
+    )

@@ -12,25 +12,31 @@ from coalgex import (
     FPair,
     bisimilar,
     canonical_form,
+    canonical_order,
     equiv,
     greatest_bisimulation,
+    lifted_related,
     minimize,
     parse_expr,
     pretty,
     reachable,
     synthesize,
     typecheck,
+    write_coalgebra,
 )
+from coalgex.coalgebra import renamed
 from coalgex.fvalue import make_fset
 from coalgex.instances import preset
 
-from helpers import acie_variant, gen_coalgebra, gen_expr
+from helpers import acie_variant, brute_lifted, gen_coalgebra, gen_expr
 
 D, _ = preset("dfa", ["a", "b"])
 D1, _ = preset("dfa", ["a"])
 N1, _ = preset("nfa", ["a"])
 N2, _ = preset("nfa", ["a", "b"])
 PA, _ = preset("partial", ["a", "b"])
+L1, _ = preset("lts", ["a"])
+L2, _ = preset("lts", ["a", "b"])
 
 
 def dfa_machine(outs: str, nexts: list[int]) -> Coalgebra:
@@ -121,6 +127,71 @@ def test_refinement_matches_brute_force_on_small_acceptors():
         nexts = [rng.randrange(n) for _ in range(n)]
         c = dfa_machine(outs, nexts)
         assert greatest_bisimulation(c) == brute_greatest(c)
+
+
+def all_pairs_fixpoint(c: Coalgebra, lifted) -> set[tuple[str, str]]:
+    """Greatest bisimulation by definition: start from all pairs and drop those
+    outside the lifting of the current relation until nothing changes."""
+    rel = {(s, t) for s in c.states for t in c.states}
+    while True:
+        keep = {(s, t) for (s, t) in rel if lifted(c.functor, rel, c.value(s), c.value(t))}
+        if keep == rel:
+            return rel
+        rel = keep
+
+
+def test_refinement_matches_brute_lifting_fixpoint_on_random_machines():
+    rng = random.Random(109)
+    # one-letter nfa/lts keep the brute-force lifting's value enumeration small
+    for g in (D, N1, L1, PA):
+        for _ in range(30):
+            c = gen_coalgebra(rng, g, rng.randint(1, 3))
+            assert greatest_bisimulation(c) == all_pairs_fixpoint(c, brute_lifted)
+
+
+def test_set_signatures_ignore_duplicate_bisimilar_members():
+    def state(out, *targets):
+        return FPair(FConst("bool2", out), FFun((("a", make_fset(FCarrier(t) for t in targets)),)))
+
+    # t1 and t2 are bisimilar; s steps to both of them, u to t1 alone
+    c = Coalgebra(
+        N1,
+        ("s", "u", "t1", "t2"),
+        {"s": state("0", "t1", "t2"), "u": state("0", "t1"), "t1": state("1"), "t2": state("1")},
+        "s",
+    )
+    assert ("s", "u") in greatest_bisimulation(c)
+    assert minimize(c).states == ("s", "t1")
+
+
+def test_canonical_order_ignores_state_names_and_order():
+    rng = random.Random(113)
+    for g in (D, N2, L2, PA):
+        for _ in range(10):
+            m = minimize(gen_coalgebra(rng, g, rng.randint(1, 8)))
+            order = list(m.states)
+            rng.shuffle(order)
+            names = {s: f"x{i}" for i, s in enumerate(order)}
+            copy = renamed(m, names)
+            copy.states = tuple(names[s] for s in order)
+            assert write_coalgebra(canonical_order(copy)) == write_coalgebra(canonical_order(m))
+
+
+def test_minimize_keeps_one_bisimilar_representative_per_class():
+    rng = random.Random(127)
+    for g in (D, N2, L2, PA):
+        for _ in range(10):
+            c = gen_coalgebra(rng, g, rng.randint(1, 8))
+            rel = all_pairs_fixpoint(c, lifted_related)
+            q = minimize(c)
+            for s in c.states:
+                # the first declared state of the class represents it
+                rep = next(r for r in c.states if (r, s) in rel)
+                assert rep in q.states
+                assert bisimilar(c, s, q, rep).bisimilar
+            for r1, r2 in itertools.combinations(q.states, 2):
+                assert (r1, r2) not in rel
+                assert not bisimilar(q, r1, q, r2).bisimilar
 
 
 def test_minimize_collapses_l0_machine():

@@ -152,6 +152,15 @@ def test_det_accepts_basics():
     assert not det_accepts(parse_expr("l<#1>"), "a", D2)
 
 
+def test_det_accepts_rejects_other_letters_and_types():
+    with pytest.raises(TypecheckError, match="not in the alphabet"):
+        det_accepts(parse_expr("l<#1>"), "ac", D2)
+    guarded, _ = preset("guarded", atoms=["t"], actions=["p"])
+    for g in [preset(name, ["a"])[0] for name in ("nfa", "partial", "lts")] + [guarded]:
+        with pytest.raises(TypecheckError, match="acceptor type"):
+            det_accepts(parse_expr("empty"), "a", g)
+
+
 def test_regex_adequacy_sample():
     rng = random.Random(113)
     for _ in range(30):

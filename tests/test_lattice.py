@@ -6,7 +6,6 @@ from coalgex import (
     JoinSemilattice,
     LatticeError,
     bool2,
-    join_eval,
     make_lattice,
     powerset,
     unit,
@@ -17,15 +16,15 @@ from coalgex import (
 def test_bool2_is_valid_and_joins():
     lat = bool2()
     assert validate_lattice(lat) is None
-    assert join_eval(lat, "1", "0") == "1"
-    assert join_eval(lat, "0", "1") == "1"
+    assert lat.join("1", "0") == "1"
+    assert lat.join("0", "1") == "1"
     assert lat.bottom == "0"
 
 
 def test_singleton_lattice():
     lat = unit()
     assert validate_lattice(lat) is None
-    assert join_eval(lat, "*", "*") == "*"
+    assert lat.join("*", "*") == "*"
 
 
 def test_commutativity_violation_reported_with_witnesses():
