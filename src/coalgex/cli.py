@@ -123,12 +123,16 @@ def _cmd_accepts(args, spec) -> int:
     return 0 if accepted else 1
 
 
-def _cmd_extract(args) -> int:
-    machine = read_coalgebra(args.coalgebra)
-    state = args.state or machine.point
+def _state_or_point(state: str | None, machine) -> str:
+    state = state or machine.point
     if state is None:
         raise CoalgebraError("no state given and the document has no point")
-    print(pretty(extract(machine, state)))
+    return state
+
+
+def _cmd_extract(args) -> int:
+    machine = read_coalgebra(args.coalgebra)
+    print(pretty(extract(machine, _state_or_point(args.state, machine))))
     return 0
 
 
@@ -141,9 +145,7 @@ def _cmd_minimize(args) -> int:
 def _cmd_bisim(args) -> int:
     c1 = read_coalgebra(args.c1)
     c2 = read_coalgebra(args.c2)
-    s1 = args.s1 or c1.point
-    s2 = args.s2 or c2.point
-    cert = bisimilar(c1, s1, c2, s2)
+    cert = bisimilar(c1, _state_or_point(args.s1, c1), c2, _state_or_point(args.s2, c2))
     print(str(cert))
     return 0 if cert.bisimilar else 1
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_spec(command("check", _cmd_check, "type check an expression"))
     p.add_argument("--expr", required=True)
 
-    p = with_format(with_spec(command("delta", _cmd_delta, "one derivative step")))
+    p = with_spec(command("delta", _cmd_delta, "one derivative step"))
     p.add_argument("--expr", required=True)
 
     p = with_format(with_spec(command("synthesize", _cmd_synthesize, "expression to machine")))
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_spec(command("accepts", _cmd_accepts, "word acceptance (acceptor types)"))
     p.add_argument("--expr", required=True)
-    p.add_argument("--word", required=True, default="")
+    p.add_argument("--word", required=True)
 
     p = command("extract", _cmd_extract, "expression from a machine state")
     p.add_argument("--coalgebra", required=True, help="machine document (JSON)")

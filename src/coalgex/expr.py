@@ -14,68 +14,103 @@ Grammar (lowest precedence first):
 Identifiers are ``[a-zA-Z][a-zA-Z0-9_]*``; lattice-element names after '#' may
 also be digits or '*'.  Lattice literals are resolved against a lattice during
 type checking, not at parse time.
+
+What is cached, where, and for how long: each node computes its structural
+hash once, when it is built, and keeps it for its lifetime.  Term keys (and
+normal forms, see `synthesis`) are memoized per distinct node on the
+`OrderContext` they are computed under and live as long as that context;
+`term_key` without a context keeps nothing.  A `printer` keeps the texts it
+printed as long as it is referenced, and `pretty` uses a fresh one per call.
+No module-level table keeps a node alive.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from operator import attrgetter
+from typing import Callable, Iterator, Union
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed once, when the node is built.
+
+    The hash combines the node's fields, and a child's hash is already cached,
+    so building a node costs one flat tuple hash and hashing it later costs
+    nothing, however deep the term.  Equality stays structural.  Copies and
+    pickles are rebuilt through the constructor, because string hashes, and
+    so the cached ones, differ between processes.
+    """
+    names = tuple(cls.__annotations__)
+    fields = attrgetter(*names) if names else lambda self: ()
+
+    def cache_hash(self) -> None:
+        object.__setattr__(self, "_hash", hash((cls, fields(self))))
+
+    cls.__post_init__ = cache_hash
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _cached_hash
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
+    return cls
+
+
+def _cached_hash(self) -> int:
+    return self._hash
+
+
+@_node
 class Empty:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Plus:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Mu:
     binder: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class LatElem:
     element: str
 
 
-@dataclass(frozen=True)
+@_node
 class ProdL:
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class ProdR:
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class SumL:
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class SumR:
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Act:
     letter: str
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Single:
     inner: "Expr"
 
@@ -225,36 +260,52 @@ def parse_expr(text: str) -> Expr:
 
 def pretty(e: Expr) -> str:
     """Print an expression; `parse_expr(pretty(e)) == e` for every AST."""
+    return printer()(e)
+
+
+def printer() -> Callable[[Expr], str]:
+    """A `pretty` that prints each distinct (subterm, position) once.
+
+    The texts are kept as long as the returned function is, so one printer
+    labels all the states of a machine, which share most of their subterms.
+    """
+    texts: dict[tuple[Expr, bool], str] = {}
 
     def pp(e: Expr, left_of_plus: bool) -> str:
+        text = texts.get((e, left_of_plus))
+        if text is not None:
+            return text
         match e:
             case Empty():
-                return "empty"
+                text = "empty"
             case Var(name):
-                return name
+                text = name
             case LatElem(elem):
-                return f"#{elem}"
+                text = f"#{elem}"
             case ProdL(inner):
-                return f"l<{pp(inner, False)}>"
+                text = f"l<{pp(inner, False)}>"
             case ProdR(inner):
-                return f"r<{pp(inner, False)}>"
+                text = f"r<{pp(inner, False)}>"
             case SumL(inner):
-                return f"l[{pp(inner, False)}]"
+                text = f"l[{pp(inner, False)}]"
             case SumR(inner):
-                return f"r[{pp(inner, False)}]"
+                text = f"r[{pp(inner, False)}]"
             case Act(letter, inner):
-                return f"{letter}({pp(inner, False)})"
+                text = f"{letter}({pp(inner, False)})"
             case Single(inner):
-                return f"{{{pp(inner, False)}}}"
+                text = f"{{{pp(inner, False)}}}"
             case Plus(l, r):
-                s = f"{pp(l, True)} + {pp(r, False)}"
-                return f"({s})" if left_of_plus else s
+                text = f"{pp(l, True)} + {pp(r, False)}"
+                text = f"({text})" if left_of_plus else text
             case Mu(binder, body):
-                s = f"mu {binder}. {pp(body, False)}"
-                return f"({s})" if left_of_plus else s
-        raise TypeError(f"not an expression: {e!r}")
+                text = f"mu {binder}. {pp(body, False)}"
+                text = f"({text})" if left_of_plus else text
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
+        texts[e, left_of_plus] = text
+        return text
 
-    return pp(e, False)
+    return lambda e: pp(e, False)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +469,9 @@ class OrderContext:
 
     Built from a system type; any element or letter not covered falls back to
     name order, so the order is total on all expressions.
+
+    A context also memoizes, per distinct node, the `term_key` and the
+    `acie_normal_form` computed under it; the memos live as long as it does.
     """
 
     def __init__(
@@ -427,6 +481,8 @@ class OrderContext:
     ):
         self.elem_ranks = elem_ranks or {}
         self.letter_ranks = letter_ranks or {}
+        self.term_keys: dict[Expr, tuple] = {}
+        self.normal_forms: dict[Expr, Expr] = {}
 
     def elem_key(self, element: str) -> tuple[int, int, str]:
         if element in self.elem_ranks:
@@ -439,6 +495,7 @@ class OrderContext:
         return (1, 0, letter)
 
 
+# ranks for `term_key` without a context; its memos stay unused
 _DEFAULT_ORDER = OrderContext()
 
 
@@ -461,31 +518,46 @@ def order_context_for(g) -> OrderContext:
 # Constructor ranks: Empty < LatElem < Var < ProdL < ProdR < SumL < SumR
 #                    < Act < Single < Plus < Mu
 def term_key(e: Expr, order: OrderContext | None = None):
-    order = order or _DEFAULT_ORDER
+    """Sort key of the global term order.
+
+    Under a context, each distinct compound node's key is computed once and
+    kept in `order.term_keys`; without one, nothing is kept.
+    """
+    keys = None if order is None else order.term_keys
+    ranks = order or _DEFAULT_ORDER
     match e:
         case Empty():
             return (0,)
         case LatElem(elem):
-            return (1, order.elem_key(elem))
+            return (1, ranks.elem_key(elem))
         case Var(name):
             return (2, name)
+    if keys is not None:
+        key = keys.get(e)
+        if key is not None:
+            return key
+    match e:
         case ProdL(i):
-            return (3, term_key(i, order))
+            key = (3, term_key(i, order))
         case ProdR(i):
-            return (4, term_key(i, order))
+            key = (4, term_key(i, order))
         case SumL(i):
-            return (5, term_key(i, order))
+            key = (5, term_key(i, order))
         case SumR(i):
-            return (6, term_key(i, order))
+            key = (6, term_key(i, order))
         case Act(a, i):
-            return (7, order.letter_key(a), term_key(i, order))
+            key = (7, ranks.letter_key(a), term_key(i, order))
         case Single(i):
-            return (8, term_key(i, order))
+            key = (8, term_key(i, order))
         case Plus(l, r):
-            return (9, term_key(l, order), term_key(r, order))
+            key = (9, term_key(l, order), term_key(r, order))
         case Mu(binder, body):
-            return (10, binder, term_key(body, order))
-    raise TypeError(f"not an expression: {e!r}")
+            key = (10, binder, term_key(body, order))
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    if keys is not None:
+        keys[e] = key
+    return key
 
 
 def subterms(e: Expr) -> Iterator[Expr]:

@@ -70,6 +70,20 @@ def test_bisim_on_the_bundled_machine(capsys):
         1, "distinguished at [(L.s1,R.s2) -> l<>]: constant 0 vs 1\n", "")
 
 
+def test_commands_without_a_state_need_a_point(capsys, tmp_path):
+    doc = json.loads(Path(TWO_STATE).read_text())
+    del doc["point"]
+    path = write(tmp_path, "no_point.json", json.dumps(doc))
+    message = "error: no state given and the document has no point\n"
+    for argv in (
+        ["bisim", "--c1", path, "--c2", path],
+        ["bisim", "--c1", TWO_STATE, "--c2", path],
+        ["extract", "--coalgebra", path],
+    ):
+        assert run(capsys, *argv) == (2, "", message)
+    assert run(capsys, "bisim", "--c1", path, "--c2", TWO_STATE, "--s1", "s1")[0] == 0
+
+
 def test_minimize_json_of_the_bundled_machine_round_trips(capsys):
     code, out, err = run(capsys, "minimize", "--coalgebra", TWO_STATE, "--format", "json")
     machine = read_coalgebra(TWO_STATE)
@@ -86,6 +100,13 @@ def test_delta_prints_set_members_in_text_order(capsys):
         {"const": ["bool2", "0"]},
         {"fun": {"a": {"set": [{"id": "l<#0> + l<#1>"}, {"id": "r<a({empty})>"}]}, "b": {"set": []}}},
     ]}
+
+
+def test_delta_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["delta", "--spec", str(SPECS / "dfa_ab.spec"), "--expr", "E1", "--format", "dot"])
+    assert exit.value.code == 2
+    assert "unrecognized arguments: --format dot" in capsys.readouterr().err
 
 
 def test_accepts(capsys):

@@ -1,6 +1,14 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import coalgex
 
 from coalgex import (
     Act,
@@ -197,3 +205,20 @@ def test_alpha_rename_preorder():
     e = parse_expr("mu x. r<a(x + mu y. r<b(y + x)>)>")
     out = alpha_rename(e)
     assert out == parse_expr("mu v1. r<a(v1 + mu v2. r<b(v2 + v1)>)>")
+
+
+def test_copies_and_pickles_hash_like_freshly_built_terms():
+    text = "mu x. l<#1> + r<a(x + {empty})>"
+    e = parse_expr(text)
+    assert copy.deepcopy(e) == e and hash(copy.deepcopy(e)) == hash(e)
+    # string hashes differ between processes, so a stored hash would go stale
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    code = (
+        "import pickle, sys; from coalgex import parse_expr; "
+        f"print(pickle.loads(sys.stdin.buffer.read()) in {{parse_expr({text!r})}})"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(Path(coalgex.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(e), env=env,
+                          capture_output=True, check=True, timeout=60)
+    assert done.stdout.strip() == b"True"
